@@ -313,7 +313,7 @@ class KeyMigration:
         self._copy_done = True
         assert self._fetch_phase is not None
         self._fetch_phase.settle()
-        best = self._fetch_phase.best_for(self.spec.key)
+        best = self._fetch_phase.best_by_key().get(self.spec.key)
         if best is None:  # pragma: no cover - offers always carry the key
             self._abort("copy-empty")
             return

@@ -455,7 +455,7 @@ class ClusterSystem:
 
     def active_counts(self) -> tuple[int, ...]:
         """Active-process count per shard (a population health probe)."""
-        return tuple(len(shard.active_pids()) for shard in self.shards)
+        return tuple(shard.membership.active_count() for shard in self.shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -182,7 +182,7 @@ class AbdRegisterNode(RegisterNode):
         for replica in self.universe:
             self.ctx.network.send(self.pid, replica, AbdQuery(request, key))
         yield WaitUntil(phase.satisfied, label="abd phase 1")
-        value, sequence = phase.best_for(key)  # type: ignore[misc]
+        value, sequence = phase.best_by_key()[key]
         self.space.adopt(key, value, sequence)
         phase.settle()
         # Phase 2: write-back, so a later read cannot see an older value.

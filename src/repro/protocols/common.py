@@ -101,7 +101,7 @@ class QuorumPhase:
         increment rather than ``count`` per-sender offers.  The count
         feeds :attr:`count` / :meth:`satisfied` directly; ``entries``
         (typically one ``(key, value, sequence)`` describing the
-        aggregate register state) compete in :meth:`best_for` with an
+        aggregate register state) compete in :meth:`best_by_key` with an
         empty-string sender id, which sorts below every real pid — a
         named tracer carrying the same sequence number wins the tie,
         keeping adoption deterministic.
@@ -123,37 +123,29 @@ class QuorumPhase:
     def senders(self) -> tuple[str, ...]:
         return tuple(self._offers)
 
-    def best_for(self, key: Any) -> tuple[Any, int] | None:
-        """The ``(value, sequence)`` to adopt for ``key``.
+    def best_by_key(self) -> dict[Any, tuple[Any, int]]:
+        """The ``(value, sequence)`` to adopt, for every offered key.
 
-        Deterministic max by ``(sequence, sender)`` over every offer
-        carrying the key — ties on the sequence number are broken by
-        sender id purely for determinism; entries with equal sequence
-        numbers carry equal values anyway.  ``None`` if no offer
-        mentions the key.
+        One pass over every offer: per key, the max by ``(sequence,
+        sender)`` — ties on the sequence number are broken by sender id
+        purely for determinism; entries with equal sequence numbers
+        carry equal values anyway.  Bulk entries compete with the
+        ``""`` sender.  A key no offer mentions is absent.
         """
-        # One comprehension + C-level max instead of a nested Python
-        # loop.  Comparing bare ``(sequence, sender, value)`` tuples is
-        # safe: each sender offers at most one entry per key, so the
-        # ``(sequence, sender)`` prefixes are unique and the comparison
-        # never reaches ``value`` — and a unique strict maximum makes
-        # "first encountered wins" moot.
-        candidates = [
-            (sequence, sender, value)
-            for sender, entries in self._offers.items()
-            for entry_key, value, sequence in entries
-            if entry_key == key
-        ]
-        if self._bulk_entries:
-            candidates.extend(
-                (sequence, "", value)
-                for entry_key, value, sequence in self._bulk_entries
-                if entry_key == key
-            )
-        if not candidates:
-            return None
-        sequence, _sender, value = max(candidates)
-        return value, sequence
+        # Whole ``(sequence, sender, value)`` tuples are compared, so
+        # the winner is exactly ``max`` over each key's candidates, and
+        # a strict ``>`` keeps the first of equal maxima like ``max``.
+        best: dict[Any, tuple[int, str, Any]] = {}
+        for sender, entries in self._offers.items():
+            for key, value, sequence in entries:
+                current = best.get(key)
+                if current is None or (sequence, sender, value) > current:
+                    best[key] = (sequence, sender, value)
+        for key, value, sequence in self._bulk_entries:
+            current = best.get(key)
+            if current is None or (sequence, "", value) > current:
+                best[key] = (sequence, "", value)
+        return {key: (value, sequence) for key, (sequence, _, value) in best.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gate = f"threshold={self.threshold}" if self.threshold else "timer-gated"

@@ -217,9 +217,9 @@ class EventuallySyncRegisterNode(RegisterNode):
             self.pid, EsRead(self.pid, request, key)  # line 03
         )
         yield WaitUntil(phase.satisfied, label="read replies")  # line 04
-        best = phase.best_for(key)  # lines 05-06
+        best = phase.best_by_key().get(key)  # lines 05-06
         if best is not None:
-            self.space.adopt(key, best[0], best[1])
+            self.space.adopt(key, *best)
         phase.settle()  # line 07
         return self.space.value(key)
 
@@ -236,11 +236,14 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     def _adopt_join_replies(self) -> None:
         """Lines 05-06, per key: adopt the greatest-sequence reply."""
+        best = self._join_phase.best_by_key()
         for key in self.space.keys:
-            best = self._join_phase.best_for(key)
-            if best is not None:
-                self.space.adopt(key, best[0], best[1])
-        self._join_phase.settle()
+            if key in best:
+                self.space.adopt(key, *best[key])
+        # Swap in a fresh phase: nothing reads this round's replies
+        # again, and a joined process would otherwise hold all of them
+        # for the rest of the run.
+        self._join_phase = QuorumPhase(self._majority)
 
     def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
         if key is None and not self.space.is_single:

@@ -211,11 +211,14 @@ class SynchronousRegisterNode(RegisterNode):
 
     def _adopt_best_replies(self) -> None:
         """Lines 07-08, per key: adopt the greatest-sequence reply."""
+        best = self._join_phase.best_by_key()
         for key in self.space.keys:
-            best = self._join_phase.best_for(key)
-            if best is not None:
-                self.space.adopt(key, best[0], best[1])
-        self._join_phase.settle()
+            if key in best:
+                self.space.adopt(key, *best[key])
+        # Swap in a fresh phase: nothing reads this round's replies
+        # again, and a joined process would otherwise hold all of them
+        # for the rest of the run.
+        self._join_phase = QuorumPhase()
 
     def _answer_pending_inquiries(self) -> None:
         """Line 11: answer every inquiry parked while listening.

@@ -9,6 +9,7 @@ paper have no membership oracle beyond the known system size ``n``.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,12 +58,20 @@ class Membership:
 
     Identities are never reused (infinite arrival model): a process that
     leaves and wants to come back must enter with a fresh ``pid``.
+
+    The active set ``A(now)`` is an index kept by :meth:`mark_active`
+    and :meth:`leave`: the active pids sorted by entry rank (stamped by
+    :meth:`enter`), i.e. in entry order.  Every planned read picks its
+    reader from it, so it is read without scanning the present
+    processes.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, PresenceRecord] = {}
         self._processes: dict[str, SimProcess] = {}
         self._present: dict[str, SimProcess] = {}
+        self._entry_rank: dict[str, int] = {}
+        self._active: list[str] = []
 
     # ------------------------------------------------------------------
     # Mutation
@@ -79,13 +88,17 @@ class Membership:
         self._records[pid] = PresenceRecord(pid=pid, entered_at=process.entered_at)
         self._processes[pid] = process
         self._present[pid] = process
+        self._entry_rank[pid] = len(self._entry_rank)
 
     def mark_active(self, pid: str, instant: Time) -> None:
         """Record that ``pid`` completed its join at ``instant``."""
         record = self._record(pid)
         if record.left_at is not None:
             raise ProcessError(f"{pid} cannot become active after leaving")
+        if record.activated_at is not None:
+            raise ProcessError(f"{pid} activated twice")
         record.activated_at = instant
+        bisect.insort(self._active, pid, key=self._entry_rank.__getitem__)
 
     def leave(self, pid: str, instant: Time) -> None:
         """Record that ``pid`` left the system at ``instant``."""
@@ -94,6 +107,11 @@ class Membership:
             raise ProcessError(f"{pid} left twice")
         record.left_at = instant
         self._present.pop(pid, None)
+        if record.activated_at is not None:
+            rank_of = self._entry_rank.__getitem__
+            del self._active[
+                bisect.bisect_left(self._active, rank_of(pid), key=rank_of)
+            ]
 
     # ------------------------------------------------------------------
     # Queries
@@ -135,7 +153,16 @@ class Membership:
 
     def active_processes(self) -> list[SimProcess]:
         """Every process currently in the *active* mode, in entry order."""
-        return [p for p in self._present.values() if p.is_active]
+        processes = self._processes
+        return [processes[pid] for pid in self._active]
+
+    def active_pids(self) -> list[str]:
+        """The pids of :meth:`active_processes` (a fresh list)."""
+        return self._active.copy()
+
+    def active_count(self) -> int:
+        """``|A(now)|`` without building a list."""
+        return len(self._active)
 
     def iter_records(self) -> Iterator[PresenceRecord]:
         """All presence records ever created, in entry order."""

@@ -26,7 +26,14 @@ from typing import TYPE_CHECKING
 from ..sim.errors import ExperimentError
 from ..sim.events import Priority
 from .generators import KeyPicker, uniform_key_picker, zipf_key_picker
-from .schedule import ReadOp, WorkloadDriver, WorkloadOp, WorkloadStats, WriteOp
+from .schedule import (
+    ReadOp,
+    WorkloadDriver,
+    WorkloadOp,
+    WorkloadStats,
+    WriteOp,
+    pick_reader,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.system import ClusterSystem
@@ -144,7 +151,9 @@ class ClusterWorkloadDriver:
     def _fire_read(self, op: ReadOp) -> None:
         key = self.cluster.resolve_key(op.key)
         shard = self.cluster.shard_for(key)
-        reader = op.reader if op.reader is not None else self._pick_reader(shard)
+        reader = op.reader
+        if reader is None:
+            reader = pick_reader(shard, self._rng, self._avoid_writer_reads)
         if reader is None or not shard.membership.is_present(reader):
             self._stats.reads_skipped += 1
             return
@@ -155,14 +164,6 @@ class ClusterWorkloadDriver:
         self._stats.reads_issued += 1
         self._stats.read_handles.append(handle)
         self._count_shard_op(key)
-
-    def _pick_reader(self, shard) -> str | None:
-        candidates = shard.active_pids()
-        if self._avoid_writer_reads:
-            candidates = [pid for pid in candidates if pid != shard.writer_pid]
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
 
     def _count_shard_op(self, key: object) -> None:
         shard = self.cluster.shard_of(key)

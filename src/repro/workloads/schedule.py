@@ -19,6 +19,8 @@ latency distributions without digging through the history.
 
 from __future__ import annotations
 
+import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -152,7 +154,9 @@ class WorkloadDriver:
         self.stats.write_handles.append(handle)
 
     def _fire_read(self, op: ReadOp) -> None:
-        reader = op.reader if op.reader is not None else self._pick_reader()
+        reader = op.reader
+        if reader is None:
+            reader = pick_reader(self.system, self._rng, self.avoid_writer_reads)
         if reader is None or not self.system.membership.is_present(reader):
             self.stats.reads_skipped += 1
             return
@@ -164,10 +168,17 @@ class WorkloadDriver:
         self.stats.reads_issued += 1
         self.stats.read_handles.append(handle)
 
-    def _pick_reader(self) -> str | None:
-        candidates = self.system.active_pids()
-        if self.avoid_writer_reads:
-            candidates = [pid for pid in candidates if pid != self.system.writer_pid]
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
+
+def pick_reader(
+    system: DynamicSystem, rng: random.Random, avoid_writer: bool
+) -> str | None:
+    """Draw a reader uniformly from ``system``'s active set, in entry
+    order (``None`` when it is empty); ``avoid_writer`` takes the
+    designated writer out of the pool first."""
+    candidates = system.active_pids()
+    if avoid_writer:
+        with suppress(ValueError):
+            candidates.remove(system.writer_pid)
+    if not candidates:
+        return None
+    return rng.choice(candidates)

@@ -6,6 +6,8 @@ three protocols lean on (deterministic best-reply selection, in-place
 reopening, lazily stamped thresholds, per-key request counters).
 """
 
+import random
+
 import pytest
 
 from repro.protocols.common import (
@@ -41,29 +43,28 @@ class TestQuorumPhase:
         phase.offer("a", ((None, "old", 1),))
         phase.offer("a", ((None, "new", 5),))
         assert phase.count == 1
-        assert phase.best_for(None) == ("new", 5)
+        assert phase.best_by_key() == {None: ("new", 5)}
 
-    def test_best_for_is_max_by_sequence_then_sender(self):
+    def test_best_by_key_is_max_by_sequence_then_sender(self):
         phase = QuorumPhase()
         phase.open()
         phase.offer("b", ((None, "x", 3),))
         phase.offer("a", ((None, "y", 3),))  # tie on sn: sender id breaks it
         phase.offer("c", ((None, "z", 1),))
-        assert phase.best_for(None) == ("x", 3)  # "b" > "a"
+        assert phase.best_by_key() == {None: ("x", 3)}  # "b" > "a"
 
-    def test_best_for_missing_key_is_none(self):
+    def test_best_by_key_omits_unoffered_keys(self):
         phase = QuorumPhase()
         phase.open()
         phase.offer("a", (("k0", "v", 7),))
-        assert phase.best_for("k1") is None
+        assert phase.best_by_key() == {"k0": ("v", 7)}
 
     def test_batched_entries_select_per_key(self):
         phase = QuorumPhase()
         phase.open()
         phase.offer("a", (("k0", "v0", 2), ("k1", "w0", 9)))
         phase.offer("b", (("k0", "v1", 5), ("k1", "w1", 3)))
-        assert phase.best_for("k0") == ("v1", 5)
-        assert phase.best_for("k1") == ("w0", 9)
+        assert phase.best_by_key() == {"k0": ("v1", 5), "k1": ("w0", 9)}
 
     def test_open_resets_in_place_and_flags_active(self):
         phase = QuorumPhase(threshold=1)
@@ -82,7 +83,73 @@ class TestQuorumPhase:
         phase.offer_ack("a")
         phase.offer_ack("b")
         assert phase.satisfied()
-        assert phase.best_for(None) is None  # acks carry no entries
+        assert phase.best_by_key() == {}  # acks carry no entries
+
+
+class TestBestByKey:
+    """``best_by_key`` is one pass; it must pick exactly what a per-key
+    ``max`` over ``(sequence, sender, value)`` picks."""
+
+    @staticmethod
+    def brute_force(offers, bulk):
+        candidates = [
+            (sequence, sender, value, key)
+            for sender, entries in offers.items()
+            for key, value, sequence in entries
+        ] + [(sequence, "", value, key) for key, value, sequence in bulk]
+        best = {}
+        for key in {candidate[3] for candidate in candidates}:
+            sequence, _, value, _ = max(c for c in candidates if c[3] == key)
+            best[key] = (value, sequence)
+        return best
+
+    def test_sequence_tie_broken_by_sender(self):
+        phase = QuorumPhase().open()
+        phase.offer("a", (("k0", "from-a", 4),))
+        phase.offer("c", (("k0", "from-c", 4),))
+        phase.offer("b", (("k0", "from-b", 4),))
+        assert phase.best_by_key() == {"k0": ("from-c", 4)}
+
+    def test_reoffer_supersedes_a_higher_sequence(self):
+        phase = QuorumPhase().open()
+        phase.offer("a", (("k0", "retracted", 9),))
+        phase.offer("b", (("k0", "kept", 2),))
+        phase.offer("a", (("k0", "again", 1),))
+        assert phase.best_by_key() == {"k0": ("kept", 2)}
+
+    def test_bulk_entries_compete_with_the_empty_sender(self):
+        phase = QuorumPhase().open()
+        phase.offer("p1", (("k0", "named", 3), ("k1", "named", 1)))
+        phase.record_bulk(10, (("k0", "bulk", 3), ("k1", "bulk", 2)))
+        assert phase.best_by_key() == {"k0": ("named", 3), "k1": ("bulk", 2)}
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_rounds_match_per_key_max(self, seed):
+        rng = random.Random(seed)
+        keys = [None, "k0", "k1", "k2", "k3"]
+        phase = QuorumPhase().open()
+        offers = {}
+        bulk = []
+        for _ in range(rng.randrange(1, 40)):
+            if rng.random() < 0.15:
+                entries = tuple(
+                    (key, f"b{rng.randrange(3)}", rng.randrange(5))
+                    for key in rng.sample(keys, rng.randrange(1, 3))
+                )
+                phase.record_bulk(1, entries)
+                bulk.extend(entries)
+                continue
+            sender = f"p{rng.randrange(12)}"
+            # Each sender offers some keys only, and a later offer by
+            # the same sender supersedes its earlier one.
+            entries = tuple(
+                (key, f"{sender}-{sequence}", sequence)
+                for key in rng.sample(keys, rng.randrange(len(keys) + 1))
+                for sequence in (rng.randrange(5),)
+            )
+            phase.offer(sender, entries)
+            offers[sender] = entries
+        assert phase.best_by_key() == self.brute_force(offers, bulk)
 
 
 class TestPhaseTracker:
@@ -160,8 +227,7 @@ class TestRecordMany:
         assert batched.count == looped.count == 3
         assert batched.satisfied() and looped.satisfied()
         assert batched.senders() == looped.senders()
-        for key in (None, "k0", "k1"):
-            assert batched.best_for(key) == looped.best_for(key)
+        assert batched.best_by_key() == looped.best_by_key()
 
     def test_later_duplicates_supersede(self):
         phase = QuorumPhase(threshold=2).open()
@@ -172,7 +238,7 @@ class TestRecordMany:
             ]
         )
         assert phase.count == 1  # one sender, superseded in place
-        assert phase.best_for(None) == ("fresh", 9)
+        assert phase.best_by_key() == {None: ("fresh", 9)}
 
     def test_empty_batch_is_a_no_op(self):
         phase = QuorumPhase(threshold=1).open()
@@ -185,5 +251,5 @@ class TestRecordMany:
         tracker.open("k0")
         tracker.record_many("k0", [("a", (("k0", "v", 3),)), ("b", ())])
         assert tracker.phase("k0").satisfied()
-        assert tracker.phase("k0").best_for("k0") == ("v", 3)
+        assert tracker.phase("k0").best_by_key() == {"k0": ("v", 3)}
         assert tracker.phase("k1").count == 0  # other keys untouched

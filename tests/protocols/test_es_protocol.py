@@ -96,7 +96,7 @@ class TestRead:
         assert phase.count == 0
         node.on_esreply(peer, EsReply(peer, "fresh", 7, read_sn=5))
         assert phase.senders() == (peer,)
-        assert phase.best_for(None) == ("fresh", 7)
+        assert phase.best_by_key() == {None: ("fresh", 7)}
 
 
 class TestWrite:

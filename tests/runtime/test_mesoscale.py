@@ -71,7 +71,7 @@ class TestRecordBulk:
         phase = QuorumPhase().open()
         phase.offer("p3", ((None, "old", 1),))
         phase.record_bulk(50, ((None, "new", 2),))
-        assert phase.best_for(None) == ("new", 2)
+        assert phase.best_by_key().get(None) == ("new", 2)
 
     def test_named_sender_wins_sequence_tie_with_bulk(self):
         # The anonymous bulk entry carries sender "", which sorts below
@@ -79,14 +79,14 @@ class TestRecordBulk:
         phase = QuorumPhase().open()
         phase.offer("p3", ((None, "tracer-copy", 2),))
         phase.record_bulk(50, ((None, "bulk-copy", 2),))
-        assert phase.best_for(None) == ("tracer-copy", 2)
+        assert phase.best_by_key().get(None) == ("tracer-copy", 2)
 
     def test_open_resets_bulk_state(self):
         phase = QuorumPhase(threshold=5).open()
         phase.record_bulk(5, ((None, "v", 1),))
         phase.open()
         assert phase.count == 0
-        assert phase.best_for(None) is None
+        assert phase.best_by_key().get(None) is None
 
 
 class TestCohortFifo:

@@ -1,5 +1,7 @@
 """Unit tests for the membership registry and presence records."""
 
+import random
+
 import pytest
 
 from repro.sim.errors import ProcessError, UnknownProcessError
@@ -108,3 +110,79 @@ class TestMembership:
         for pid in ("a", "b", "c"):
             membership.enter(make_process(pid, engine))
         assert [r.pid for r in membership.iter_records()] == ["a", "b", "c"]
+
+
+class TestActiveIndex:
+    """The incremental active-set index must always equal the scan it
+    replaced: the present processes whose mode is active, in entry
+    order."""
+
+    @staticmethod
+    def assert_index_matches_scan(membership):
+        expected = [p for p in membership.present_processes() if p.is_active]
+        assert membership.active_processes() == expected
+        assert membership.active_pids() == [p.pid for p in expected]
+        assert membership.active_count() == len(expected)
+
+    def test_scripted_lifecycle(self, engine, membership):
+        processes = {f"p{i}": make_process(f"p{i}", engine) for i in range(4)}
+        for process in processes.values():
+            membership.enter(process)
+
+        def activate(pid):
+            processes[pid].mark_active()
+            membership.mark_active(pid, 1.0)
+
+        def leave(pid):
+            processes[pid].depart()
+            membership.leave(pid, 2.0)
+
+        steps = [
+            (activate, "p2", ["p2"]),
+            (activate, "p0", ["p0", "p2"]),  # activation out of entry order
+            (leave, "p1", ["p0", "p2"]),  # a listener leaves
+            (leave, "p2", ["p0"]),  # an active process leaves
+            (activate, "p3", ["p0", "p3"]),
+        ]
+        for action, pid, expected in steps:
+            action(pid)
+            self.assert_index_matches_scan(membership)
+            assert membership.active_pids() == expected
+
+    def test_active_pids_is_a_copy(self, engine, membership):
+        process = make_process("a", engine)
+        membership.enter(process)
+        process.mark_active()
+        membership.mark_active("a", 0.0)
+        membership.active_pids().clear()
+        assert membership.active_pids() == ["a"]
+
+    def test_double_activation_rejected(self, engine, membership):
+        membership.enter(make_process("a", engine))
+        membership.mark_active("a", 0.0)
+        with pytest.raises(ProcessError):
+            membership.mark_active("a", 1.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_lifecycles_match_the_scan(self, engine, membership, seed):
+        rng = random.Random(seed)
+        listening, active = [], []
+        for step in range(200):
+            roll = rng.random()
+            if roll < 0.35 or not (listening or active):
+                process = make_process(f"p{step}", engine)
+                membership.enter(process)
+                listening.append(process)
+            elif roll < 0.65 and listening:
+                process = listening.pop(rng.randrange(len(listening)))
+                process.mark_active()
+                membership.mark_active(process.pid, float(step))
+                active.append(process)
+            else:
+                pool = listening if (rng.random() < 0.3 and listening) else active
+                if not pool:
+                    pool = listening
+                process = pool.pop(rng.randrange(len(pool)))
+                process.depart()
+                membership.leave(process.pid, float(step))
+            self.assert_index_matches_scan(membership)
