@@ -1,7 +1,7 @@
 """The runtime that applies a :class:`~repro.faults.plan.FaultPlan`.
 
 One :class:`FaultInjector` lives behind the network's fault gate
-(``Network.faults``).  The network consults it at two points:
+(``Network.faults``).  The network consults it at three points:
 
 * :meth:`on_transmit` — when a delivery is about to be scheduled
   (both point-to-point sends and broadcast fan-out instances).  Delay
@@ -16,6 +16,12 @@ One :class:`FaultInjector` lives behind the network's fault gate
   victim departs *before* the message lands, so a crash of the
   destination also drops the triggering message, exactly like any
   other departure.
+
+Only drop-partitions and crashes act at delivery time; the injector
+says so once, in :attr:`FaultInjector.gates_delivery`.  A plan without
+them (loss, spikes, defer-partitions) leaves the two delivery hooks
+no-ops, so the network keeps its fast fire arms and calls only
+:meth:`on_transmit`.
 
 Determinism: the injector draws randomness from a single dedicated
 stream (``faults.injector``) and only when a loss fault actually
@@ -42,6 +48,7 @@ class FaultInjector:
 
     __slots__ = (
         "plan",
+        "gates_delivery",
         "_rng",
         "crash_hook",
         "lost_count",
@@ -60,6 +67,12 @@ class FaultInjector:
         crash_hook: Callable[[str], None] | None = None,
     ) -> None:
         self.plan = plan
+        #: Does any fault act when a delivery fires?  Derived from the
+        #: plan once: crashes and drop-partitions do; loss, spikes and
+        #: defer-partitions act only at send time (:meth:`on_transmit`).
+        self.gates_delivery = bool(plan.crashes) or any(
+            partition.mode == "drop" for partition in plan.partitions
+        )
         self._rng = rng
         #: Called with the victim pid when a crash fault fires; wired by
         #: :meth:`~repro.runtime.system.DynamicSystem.install_faults`.

@@ -32,6 +32,7 @@ uses it to split violations into ``bug`` and ``expected-breakage``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterator
 
@@ -51,6 +52,17 @@ def _freeze_types(payload_types: Any) -> frozenset[str] | None:
     if not frozen:
         raise ConfigError("payload_types must be None or non-empty")
     return frozen
+
+
+def _require_finite(kind: str, fault: Any, *names: str) -> None:
+    """Reject a non-finite numeric field (``None`` means "not given").
+
+    An infinite or NaN instant or spike parameter would otherwise
+    surface only deep in the scheduler, naming no field."""
+    for name in names:
+        value = getattr(fault, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{kind} {name} must be finite, got {value!r}")
 
 
 def _link_matches(fault: Any, sender: str, dest: str, payload_type: str, now: Time) -> bool:
@@ -90,6 +102,7 @@ class LossFault:
             raise ConfigError(
                 f"loss probability must be in (0, 1], got {self.probability!r}"
             )
+        _require_finite("loss", self, "start", "end")
         if self.end is not None and self.end <= self.start:
             raise ConfigError(
                 f"loss window end {self.end!r} must exceed start {self.start!r}"
@@ -122,6 +135,7 @@ class PartitionFault:
     mode: str = "drop"
 
     def __post_init__(self) -> None:
+        _require_finite("partition", self, "start", "end")
         if self.end <= self.start:
             raise ConfigError(
                 f"partition end {self.end!r} must exceed start {self.start!r}"
@@ -177,6 +191,7 @@ class DelaySpikeFault:
     payload_types: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
+        _require_finite("spike", self, "start", "end", "factor", "extra")
         if self.factor <= 0:
             raise ConfigError(f"spike factor must be positive, got {self.factor!r}")
         if self.extra < 0:
@@ -215,8 +230,11 @@ class CrashFault:
     def __post_init__(self) -> None:
         if self.victim not in ("dest", "sender"):
             raise ConfigError(f"crash victim must be 'dest' or 'sender', got {self.victim!r}")
-        if self.occurrence < 1:
-            raise ConfigError(f"crash occurrence must be >= 1, got {self.occurrence!r}")
+        occurrence = self.occurrence
+        if not isinstance(occurrence, int) or isinstance(occurrence, bool):
+            raise ConfigError(f"crash occurrence must be an int, got {occurrence!r}")
+        if occurrence < 1:
+            raise ConfigError(f"crash occurrence must be >= 1, got {occurrence!r}")
 
     def matches(self, sender: str, dest: str, payload_type: str) -> bool:
         if payload_type != self.phase:
@@ -254,9 +272,11 @@ class FaultPlan:
     """An ordered, composable bundle of faults.
 
     Plans are applied by the :class:`~repro.faults.injector.FaultInjector`
-    inside ``Network.send`` / ``Network._deliver``; an empty plan draws
-    no randomness and perturbs nothing, so installing it leaves a run
-    byte-identical to an un-faulted one.
+    the network consults when it schedules a delivery (every send and
+    fan-out instance: loss, spikes, partitions) and, only for plans
+    with crashes or drop-partitions, when a delivery fires.  An empty
+    plan draws no randomness and perturbs nothing, so installing it
+    leaves a run byte-identical to an un-faulted one.
     """
 
     losses: tuple[LossFault, ...] = ()

@@ -18,8 +18,22 @@ reliability guarantee: an installed :class:`FaultInjector` may veto or
 delay deliveries (loss, partitions, spikes) and crash processes at
 targeted phases.  Fault-induced drops are accounted in
 ``faulted_count``, separately from ``dropped_count`` (departed
-destination), and stamped with a ``reason`` in the trace.  With no
-injector installed the paths are unchanged.
+destination), and stamped with a ``reason`` in the trace.
+
+An installed injector closes one or two gates, both derived from its
+plan (see :meth:`Network.install_faults`):
+
+* the **transmit gate** — every send and fan-out instance passes
+  :meth:`~repro.faults.injector.FaultInjector.on_transmit`, so the
+  wave plane (``_fast_waves``), whose fused reply pushes skip that
+  hook, is off whenever any injector is installed;
+* the **delivery gate** — only plans with faults acting when a
+  delivery fires (crashes, drop-partitions) route deliveries through
+  the checked arm (``_fast`` off).  Loss, spike and defer-partition
+  plans keep the fast fire arms: one presence probe, then the handler.
+
+Tracing closes both gates too.  With no injector installed and tracing
+off, neither gate costs more than one attribute test.
 
 Delivery hot path
 -----------------
@@ -28,8 +42,12 @@ Scheduled deliveries ride the scheduler's slab queue
 (:meth:`~repro.sim.engine.EventScheduler.schedule_slab`), not full
 ``Event`` objects:
 
-* a point-to-point send pushes one pooled :class:`_ScheduledMessage`
-  wrapping the prebuilt envelope;
+* a point-to-point send pushes one pooled :class:`_Unicast` carrying
+  sender, destination and payload (:meth:`Network.send_payload`, the
+  path of every protocol's replies and acks), or one
+  :class:`_ScheduledMessage` wrapping a prebuilt envelope
+  (:meth:`Network.send`, which returns the :class:`Message`: migration
+  traffic and tests that inspect it);
 * a broadcast fan-out pushes one pooled :class:`_BroadcastBatch` per
   *distinct arrival instant*, carrying the shared header (sender,
   payload, broadcast id) once and a vector of destinations — no
@@ -273,10 +291,9 @@ class _BroadcastBatch(SlabEntry):
     """One heap slot for every recipient of one broadcast arriving at
     one instant: the shared header once, plus the destination vector.
 
-    Also carries envelope-free point-to-point sends
-    (:meth:`Network.send_payload`) as size-1 batches with
-    ``broadcast_id = None`` — the fire path only differs in the trace
-    kind (RECEIVE instead of DELIVER)."""
+    Only the fault-gated fan-out (:meth:`Network.deliver_fanout` with an
+    injector installed) builds these; point-to-point sends ride
+    :class:`_Unicast`."""
 
     __slots__ = ("network", "sender", "payload", "sent_at", "broadcast_id",
                  "dests", "size")
@@ -302,9 +319,9 @@ class _BroadcastBatch(SlabEntry):
         sender = self.sender
         payload = self.payload
         dests = self.dests
-        # ``_fast_waves`` folds the fault gate, the (construction-time
-        # constant) trace flag and the batch-dispatch flag into one
-        # attribute test.
+        # ``_fast_waves`` folds both fault gates, the (construction-
+        # time constant) trace flag and the batch-dispatch flag into
+        # one attribute test.
         if network._fast_waves:
             # Batch-dispatch plane: resolve the batch's recipients once,
             # then at most one wave call per batch.  Size-1 batches (the
@@ -335,10 +352,11 @@ class _BroadcastBatch(SlabEntry):
             else:
                 network._dispatch_batch(sender, payload, dests, payload_cls)
         elif network._fast:
-            # The PR 8 per-recipient fast path (``batch_dispatch=False``):
-            # one dict probe per recipient, then straight into the
-            # handler.  Presence is re-read per recipient because an
-            # earlier delivery of this very batch may depart a process.
+            # The per-recipient fast path (``batch_dispatch=False``, or a
+            # fault plan with no delivery-time faults): one dict probe
+            # per recipient, then straight into the handler.  Presence
+            # is re-read per recipient because an earlier delivery of
+            # this very batch may depart a process.
             # The dispatch is ``deliver_payload`` inlined: a process
             # held in ``membership._present`` is never DEPARTED
             # (departure always pairs ``process.depart()`` with
@@ -396,12 +414,14 @@ class Network:
         # Fault gate: ``None`` means the un-faulted fast path — no extra
         # work per message beyond this attribute test.
         self.faults: FaultInjector | None = None
-        # The delivery fast-path flag: no faults installed AND tracing
-        # off.  ``trace._enabled`` never changes after construction, so
-        # this only needs refreshing when a fault injector lands.
+        # The delivery gate: tracing off AND no fault that acts when a
+        # delivery fires.  ``trace._enabled`` never changes after
+        # construction, so this only needs refreshing when a fault
+        # injector lands.
         self._fast = not trace.enabled
         # The batch-dispatch plane (wave handlers): folded with ``_fast``
-        # into one flag so the fire loop tests a single attribute.
+        # and the transmit gate (no injector at all) into one flag so
+        # the fire loop tests a single attribute.
         self._batch_dispatch = batch_dispatch
         self._fast_waves = self._fast and batch_dispatch
         # Hot-path aliases: the membership dicts are bound once (only
@@ -426,11 +446,20 @@ class Network:
         self._sweep_pool: list[_FanoutSweep] = []
 
     def install_faults(self, injector: FaultInjector) -> None:
-        """Install a fault injector (at most one per network)."""
+        """Install a fault injector (at most one per network).
+
+        Closes the transmit gate unconditionally: the wave plane's
+        fused reply pushes never call ``on_transmit``, so
+        ``_fast_waves`` goes off and every send and fan-out instance
+        meets the injector.  Closes the delivery gate (``_fast``) only
+        if :attr:`~repro.faults.injector.FaultInjector.gates_delivery`:
+        for loss, spike and defer-partition plans the delivery hooks
+        are no-ops, so the fast fire arms stay.
+        """
         if self.faults is not None:
             raise NetworkError("a fault injector is already installed")
         self.faults = injector
-        self._fast = False
+        self._fast = self._fast and not injector.gates_delivery
         self._fast_waves = False
 
     @property
@@ -893,7 +922,7 @@ class Network:
             self.membership.process(dest).deliver_payload(sender, payload)
 
     # ------------------------------------------------------------------
-    # Per-message delivery (point-to-point and the legacy parity path)
+    # Per-envelope delivery (``send`` and the legacy parity path)
     # ------------------------------------------------------------------
 
     def _departed_drop(
@@ -954,18 +983,7 @@ class Network:
                 sender=message.sender,
                 type=message.payload_type,
             )
-        process = self.membership.process(message.dest)
-        if self._fast_waves:
-            # Envelope deliveries join the wave plane too: protocols
-            # whose point-to-point traffic rides full ``Message``
-            # envelopes (ES replies/acks, ABD's universe rounds) get
-            # the same straight-line unicast bodies as slab deliveries.
-            payload = message.payload
-            wave = process._waves1.get(payload.__class__)
-            if wave is not None:
-                wave(self, message.sender, payload, process)
-                return
-        process.deliver(message)
+        self.membership.process(message.dest).deliver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -180,7 +180,7 @@ class AbdRegisterNode(RegisterNode):
         self._queries.threshold = self.majority
         phase = self._queries.open(key)
         for replica in self.universe:
-            self.ctx.network.send(self.pid, replica, AbdQuery(request, key))
+            self.ctx.network.send_payload(self.pid, replica, AbdQuery(request, key))
         yield WaitUntil(phase.satisfied, label="abd phase 1")
         value, sequence = phase.best_by_key()[key]
         self.space.adopt(key, value, sequence)
@@ -189,7 +189,7 @@ class AbdRegisterNode(RegisterNode):
         self._writebacks.threshold = self.majority
         wb_phase = self._writebacks.open(key)
         for replica in self.universe:
-            self.ctx.network.send(
+            self.ctx.network.send_payload(
                 self.pid, replica, AbdWriteBack(request, value, sequence, key)
             )
         yield WaitUntil(wb_phase.satisfied, label="abd phase 2")
@@ -202,7 +202,9 @@ class AbdRegisterNode(RegisterNode):
         self._writes.threshold = self.majority
         phase = self._writes.open(key)
         for replica in self.universe:
-            self.ctx.network.send(self.pid, replica, AbdWrite(value, sequence, key))
+            self.ctx.network.send_payload(
+                self.pid, replica, AbdWrite(value, sequence, key)
+            )
         yield WaitUntil(phase.satisfied, label="abd write acks")
         phase.settle()
         return OK
@@ -215,7 +217,7 @@ class AbdRegisterNode(RegisterNode):
         if not self.is_replica:
             return
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send(self.pid, sender, AbdAck(msg.sequence, msg.key))
+        self.ctx.network.send_payload(self.pid, sender, AbdAck(msg.sequence, msg.key))
 
     def on_abdack(self, sender: str, msg: AbdAck) -> None:
         if msg.sequence == self.space.sequence(msg.key):
@@ -225,7 +227,7 @@ class AbdRegisterNode(RegisterNode):
         if not self.is_replica:
             return
         value, sequence = self.space.snapshot(msg.key)
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid, sender, AbdQueryReply(msg.request, value, sequence, msg.key)
         )
 
@@ -240,7 +242,9 @@ class AbdRegisterNode(RegisterNode):
         if not self.is_replica:
             return
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send(self.pid, sender, AbdWriteBackAck(msg.request, msg.key))
+        self.ctx.network.send_payload(
+            self.pid, sender, AbdWriteBackAck(msg.request, msg.key)
+        )
 
     def on_abdwritebackack(self, sender: str, msg: AbdWriteBackAck) -> None:
         key = self.space.resolve(msg.key)
@@ -250,12 +254,12 @@ class AbdRegisterNode(RegisterNode):
     # ------------------------------------------------------------------
     # Wave handlers (the batch-dispatch plane)
     # ------------------------------------------------------------------
-    # ABD's universe messages travel point-to-point, so the unicast and
-    # envelope fast paths are what call the ``_one`` variants; the
-    # batch bodies serve the ``deliver_batch`` plane.  Same sends in
-    # the same order as the handlers above; non-replica no-op arms skip
-    # the watcher poll (a no-op delivery cannot newly satisfy a
-    # ``WaitUntil`` condition).
+    # ABD's universe messages travel point-to-point, so the unicast
+    # fast path is what calls the ``_one`` variants; the batch bodies
+    # serve the ``deliver_batch`` plane.  Same sends in the same order
+    # as the handlers above; non-replica no-op arms skip the watcher
+    # poll (a no-op delivery cannot newly satisfy a ``WaitUntil``
+    # condition).
 
     wave_handlers = {
         AbdWrite: "_wave_abdwrite",
@@ -272,7 +276,7 @@ class AbdRegisterNode(RegisterNode):
             if not node.is_replica:
                 continue
             node.space.adopt(key, value, sequence)
-            node.ctx.network.send(node.pid, sender, AbdAck(sequence, key))
+            node.ctx.network.send_payload(node.pid, sender, AbdAck(sequence, key))
             watchers = node._watchers
             if watchers:
                 for watcher in list(watchers):
@@ -285,7 +289,7 @@ class AbdRegisterNode(RegisterNode):
         key = payload.key
         sequence = payload.sequence
         node.space.adopt(key, payload.value, sequence)
-        node.ctx.network.send(node.pid, sender, AbdAck(sequence, key))
+        node.ctx.network.send_payload(node.pid, sender, AbdAck(sequence, key))
         watchers = node._watchers
         if watchers:
             if len(watchers) == 1:
@@ -302,7 +306,7 @@ class AbdRegisterNode(RegisterNode):
             if not node.is_replica:
                 continue
             value, sequence = node.space.snapshot(key)
-            node.ctx.network.send(
+            node.ctx.network.send_payload(
                 node.pid, sender, AbdQueryReply(request, value, sequence, key)
             )
             watchers = node._watchers
@@ -316,7 +320,7 @@ class AbdRegisterNode(RegisterNode):
             return
         key = payload.key
         value, sequence = node.space.snapshot(key)
-        node.ctx.network.send(
+        node.ctx.network.send_payload(
             node.pid, sender, AbdQueryReply(payload.request, value, sequence, key)
         )
         watchers = node._watchers
@@ -337,7 +341,9 @@ class AbdRegisterNode(RegisterNode):
             if not node.is_replica:
                 continue
             node.space.adopt(key, value, sequence)
-            node.ctx.network.send(node.pid, sender, AbdWriteBackAck(request, key))
+            node.ctx.network.send_payload(
+                node.pid, sender, AbdWriteBackAck(request, key)
+            )
             watchers = node._watchers
             if watchers:
                 for watcher in list(watchers):
@@ -349,7 +355,7 @@ class AbdRegisterNode(RegisterNode):
             return
         key = payload.key
         node.space.adopt(key, payload.value, payload.sequence)
-        node.ctx.network.send(
+        node.ctx.network.send_payload(
             node.pid, sender, AbdWriteBackAck(payload.request, key)
         )
         watchers = node._watchers

@@ -253,7 +253,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         else:
             value, sequence = self.space.snapshot(key)
             entries = None
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid,
             dest,
             EsReply(self.pid, value, sequence, r_sn, key, entries),
@@ -265,7 +265,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         read_sn = 0 if key is None and not self.space.is_single else (
             self._reads.current_request(key)
         )
-        self.ctx.network.send(self.pid, dest, EsDlPrev(self.pid, read_sn, key))
+        self.ctx.network.send_payload(self.pid, dest, EsDlPrev(self.pid, read_sn, key))
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -303,7 +303,7 @@ class EventuallySyncRegisterNode(RegisterNode):
             )
             entries = ((msg.key, msg.value, msg.sequence),)
         phase.offer(msg.sender, entries)  # line 20
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid, msg.sender, EsAck(self.pid, msg.sequence, msg.key)
         )
 
@@ -323,7 +323,7 @@ class EventuallySyncRegisterNode(RegisterNode):
     def on_eswrite(self, sender: str, msg: EsWrite) -> None:
         """Figure 6, lines 06-08."""
         self.space.adopt(msg.key, msg.value, msg.sequence)  # line 07
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid, msg.sender, EsAck(self.pid, msg.sequence, msg.key)
         )
 
@@ -433,7 +433,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         key = payload.key
         for node in procs:
             node.space.adopt(key, value, sequence)  # line 07
-            node.ctx.network.send(
+            node.ctx.network.send_payload(
                 node.pid, origin, EsAck(node.pid, sequence, key)
             )
             watchers = node._watchers
@@ -447,7 +447,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         sequence = payload.sequence
         key = payload.key
         node.space.adopt(key, payload.value, sequence)  # line 07
-        node.ctx.network.send(
+        node.ctx.network.send_payload(
             node.pid, payload.sender, EsAck(node.pid, sequence, key)
         )
         watchers = node._watchers

@@ -12,6 +12,7 @@ from repro.faults import (
     LossFault,
     PartitionFault,
 )
+from repro.core.register import BOTTOM
 from repro.net.delay import SynchronousDelay
 from repro.net.network import Network
 from repro.sim.errors import ConfigError, NetworkError
@@ -62,6 +63,74 @@ class TestInstallation:
         system = make_system(faults=FaultPlan())
         with pytest.raises(NetworkError):
             system.network.install_faults(system.faults)
+
+
+class TestGateSplit:
+    """An injector always closes the transmit gate (``_fast_waves``);
+    only crashes and drop-partitions close the delivery gate
+    (``_fast``).  Tracing is off so the plan alone decides."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            LossFault(probability=0.05),
+            DelaySpikeFault(start=0.0, end=50.0, extra=1.0),
+            PartitionFault(
+                start=0.0, end=4.0, group_a=frozenset({"p0001"}), mode="defer"
+            ),
+        ],
+        ids=["loss", "spike", "defer"],
+    )
+    def test_send_time_plans_keep_the_fast_delivery_arm(self, fault):
+        system = make_system(faults=FaultPlan.of(fault), trace=False)
+        assert system.faults.gates_delivery is False
+        assert system.network._fast is True
+        assert system.network._fast_waves is False
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            CrashFault(phase="WriteMsg"),
+            PartitionFault(start=0.0, end=4.0, group_a=frozenset({"p0001"})),
+        ],
+        ids=["crash", "drop-partition"],
+    )
+    def test_delivery_time_plans_force_the_checked_arm(self, fault):
+        plan = FaultPlan.of(LossFault(probability=0.05), fault)
+        system = make_system(faults=plan, trace=False)
+        assert system.faults.gates_delivery is True
+        assert system.network._fast is False
+        assert system.network._fast_waves is False
+
+    def test_empty_plan_still_closes_the_transmit_gate(self):
+        system = make_system(faults=FaultPlan(), trace=False)
+        assert system.network._fast is True
+        assert system.network._fast_waves is False
+
+    def test_fused_reply_pushes_still_meet_the_injector(self):
+        # Three overlapping joiners: the actives answer each inquiry,
+        # and each joiner, on activating, answers the inquiries it
+        # parked while listening.  Both reply paths have a fused push
+        # on the wave plane; every Reply must still reach on_transmit.
+        plan = FaultPlan.of(LossFault(probability=1.0, payload_types={"Reply"}))
+        system = make_system(faults=plan, trace=False)
+        joiners = []
+        for _ in range(3):
+            joiners.append(system.spawn_joiner())
+            system.run_for(2.0)
+        system.run_for(6 * DELTA)
+        network = system.network
+        assert network._fast is True
+        # Sync point-to-point traffic is Replies only: each was lost.
+        assert network.faulted_count > 0
+        assert network.sent_count == system.faults.lost_count
+        assert network.faulted_count == system.faults.lost_count
+        # No joiner ever adopted a reply: the joins end on their timer
+        # with the register still at ⊥, while the initial processes
+        # hold the initial value.
+        for pid in joiners:
+            assert system.node(pid).space.value(None) is BOTTOM
+        assert system.node("p0001").space.value(None) is not BOTTOM
 
 
 class TestLoss:

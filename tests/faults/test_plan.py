@@ -60,6 +60,48 @@ class TestFaultValidation:
             CrashFault(phase="WriteMsg", occurrence=0)
 
 
+_INF = float("inf")
+_NAN = float("nan")
+_GROUP = frozenset({"p0001"})
+
+
+class TestNonFiniteFields:
+    """Instants and spike parameters must be finite, occurrences ints.
+
+    Without the check an infinite instant or spike reaches the
+    scheduler as a non-finite arrival and fails there, naming no
+    field; a NaN start or a fractional occurrence is silently kept.
+    Each case checks that the error names the offending field.
+    """
+
+    CASES = {
+        "loss start": lambda: LossFault(probability=0.5, start=_NAN),
+        "loss end": lambda: LossFault(probability=0.5, end=_INF),
+        "partition start": lambda: PartitionFault(
+            start=_NAN, end=5.0, group_a=_GROUP
+        ),
+        "partition end": lambda: PartitionFault(
+            start=0.0, end=_INF, group_a=_GROUP, mode="defer"
+        ),
+        "spike start": lambda: DelaySpikeFault(start=-_INF, extra=1.0),
+        "spike end": lambda: DelaySpikeFault(end=_NAN, extra=1.0),
+        "spike factor": lambda: DelaySpikeFault(factor=_NAN),
+        "spike extra": lambda: DelaySpikeFault(extra=_INF),
+        "crash occurrence": lambda: CrashFault(phase="Reply", occurrence=1.5),
+    }
+
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_rejected_naming_the_field(self, field):
+        with pytest.raises(ConfigError, match=field):
+            self.CASES[field]()
+
+    def test_from_dict_rejects_infinite_extra(self):
+        with pytest.raises(ConfigError, match="spike extra"):
+            FaultPlan.from_dict(
+                {"faults": [{"kind": "spike", "extra": _INF}]}
+            )
+
+
 class TestMatching:
     def test_loss_filters_by_window_type_and_endpoints(self):
         loss = LossFault(

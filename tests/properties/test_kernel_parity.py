@@ -20,13 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.history import operation_digest
-from repro.faults.plan import FaultPlan, LossFault, PartitionFault
+from repro.faults.plan import (
+    DelaySpikeFault,
+    FaultPlan,
+    LossFault,
+    PartitionFault,
+)
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 
-#: The fault plans of the grid (``None`` = fault-free).  Loss exercises
-#: the on-transmit gate; the partition exercises delivery-time severing
-#: (both the drop and the deferred-heal arm).
+#: The fault plans of the grid (``None`` = fault-free).  Loss, spike
+#: and defer act only at send time (the on-transmit gate), so they keep
+#: the fast fire arms; the drop partition severs at delivery time too
+#: and forces the checked arm.
 FAULT_PLANS = {
     "none": None,
     "loss": FaultPlan.of(
@@ -40,14 +46,22 @@ FAULT_PLANS = {
     ),
     "defer": FaultPlan.of(
         PartitionFault(
-            start=15.0,
-            end=19.0,
-            group_a=frozenset({"p0003"}),
+            start=11.0,
+            end=15.0,
+            group_a=frozenset({"p0003", "p0004"}),
             mode="defer",
         ),
         name="defer",
     ),
+    "spike": FaultPlan.of(
+        DelaySpikeFault(start=12.0, end=30.0, factor=1.5, extra=0.5),
+        name="spike",
+    ),
 }
+
+#: The plans whose faults all act at send time.
+SEND_TIME_PLANS = ["defer", "loss", "spike"]
+PROTOCOLS = ["sync", "es", "abd"]
 
 
 def _drive(
@@ -100,6 +114,9 @@ def _surface(system: DynamicSystem) -> dict:
         "fired": system.engine.fired_count,
         "now": system.engine.now,
         "present": system.present_count(),
+        "injector": (
+            system.faults.counters() if system.faults is not None else None
+        ),
     }
 
 
@@ -117,14 +134,25 @@ class TestKernelParityGrid:
         )
         assert batched == legacy
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("fault_key", sorted(FAULT_PLANS))
     @pytest.mark.parametrize("churn_rate", [0.0, 0.08])
-    def test_fault_plans_under_churn(self, fault_key, churn_rate):
+    def test_fault_plans_under_churn(self, fault_key, churn_rate, protocol):
         batched = _surface(
-            _drive(True, fault_key=fault_key, churn_rate=churn_rate)
+            _drive(
+                True,
+                protocol=protocol,
+                fault_key=fault_key,
+                churn_rate=churn_rate,
+            )
         )
         legacy = _surface(
-            _drive(False, fault_key=fault_key, churn_rate=churn_rate)
+            _drive(
+                False,
+                protocol=protocol,
+                fault_key=fault_key,
+                churn_rate=churn_rate,
+            )
         )
         assert batched == legacy
 
@@ -168,16 +196,19 @@ class TestDispatchParityGrid:
         ]
         assert surfaces[0] == surfaces[1] == surfaces[2] == surfaces[3]
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("fault_key", sorted(FAULT_PLANS))
-    def test_fault_plans(self, fault_key):
+    def test_fault_plans(self, fault_key, protocol):
         waved = _surface(
             _drive(
-                True, fault_key=fault_key, churn_rate=0.08, batch_dispatch=True
+                True, protocol=protocol, fault_key=fault_key, churn_rate=0.08,
+                batch_dispatch=True,
             )
         )
         plain = _surface(
             _drive(
-                True, fault_key=fault_key, churn_rate=0.08, batch_dispatch=False
+                True, protocol=protocol, fault_key=fault_key, churn_rate=0.08,
+                batch_dispatch=False,
             )
         )
         assert waved == plain
@@ -338,6 +369,23 @@ class TestTraceParity:
         assert operation_digest(batched.close()) == operation_digest(
             legacy.close()
         )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("fault_key", SEND_TIME_PLANS)
+    def test_fast_arm_matches_checked_arm(self, fault_key, protocol):
+        """A send-time-only plan keeps the fast fire arms; tracing
+        forces the checked arm.  Both must see the same run."""
+        fast = _drive(
+            True, protocol=protocol, churn_rate=0.08, fault_key=fault_key
+        )
+        checked = _drive(
+            True, protocol=protocol, churn_rate=0.08, fault_key=fault_key,
+            trace=True,
+        )
+        assert fast.network._fast and not checked.network._fast
+        surface = _surface(fast)
+        assert any(surface["injector"].values())  # the plan did act
+        assert surface == _surface(checked)
 
     @pytest.mark.parametrize("protocol", ["sync", "es"])
     def test_trace_records_identical_across_dispatch(self, protocol):
